@@ -8,7 +8,8 @@ For one (workload, variant, crash point) the checker
    exhaustively below the frontier, seeded-sampled above it;
 3. for each image builds the post-crash machine, rebinds the workload,
    runs the variant's recovery threads, and verifies the final output
-   exactly;
+   exactly — unless an earlier run at the same point already decides
+   the image (see :class:`VerdictMemo`);
 4. on failure, shrinks the failing event set to a minimal order ideal
    (greedy removal of maximal events while the failure persists) and
    reports a replayable :class:`Counterexample`.
@@ -21,9 +22,21 @@ acceptance otherwise hides.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.sim.cleaner import PeriodicCleaner
 from repro.sim.config import MachineConfig
@@ -34,6 +47,8 @@ from repro.verify.enumerate import (
     EnumerationPlan,
     enumerate_images,
     enumeration_bound,
+    project,
+    varying_addrs,
 )
 from repro.verify.graph import is_ideal
 from repro.workloads.base import Workload
@@ -252,6 +267,80 @@ class CrashCheckReport:
 # ----------------------------------------------------------------------
 
 
+class _LiveIns:
+    """What one recovery run read before writing it.
+
+    Shared by the run's two :class:`_RecordingMap` value maps.
+    ``tracked`` drops to False at the first access the maps cannot
+    attribute to single addresses; the run's live-ins are then unknown.
+    """
+
+    __slots__ = ("addrs", "tracked")
+
+    def __init__(self) -> None:
+        #: ``Any``: ``in`` may probe with any hashable, and a numpy
+        #: integer address must be recorded like the int it equals.
+        self.addrs: Set[Any] = set()
+        self.tracked = True
+
+
+class _RecordingMap(Dict[int, float]):
+    """A value map noting the addresses read before they are written.
+
+    ``[]``, ``get`` and ``in`` record their address unless this map
+    already wrote it; ``[]=`` marks it written.  Every other access
+    (iteration, ``len``, bulk update, copy, ...) marks the run
+    untracked and then behaves like a plain dict.
+    """
+
+    __slots__ = ("_live", "_reads", "_written")
+
+    def __init__(self, data: Dict[int, float], live: _LiveIns) -> None:
+        super().__init__(data)
+        self._live = live
+        self._reads = live.addrs
+        self._written: Set[int] = set()
+
+    def __getitem__(self, addr: int) -> float:
+        if addr not in self._written:
+            self._reads.add(addr)
+        return dict.__getitem__(self, addr)
+
+    def get(self, addr: int, default: Any = None) -> Any:
+        if addr not in self._written:
+            self._reads.add(addr)
+        return dict.get(self, addr, default)
+
+    def __contains__(self, addr: object) -> bool:
+        if addr not in self._written:
+            self._reads.add(addr)
+        return dict.__contains__(self, addr)
+
+    def __setitem__(self, addr: int, value: float) -> None:
+        self._written.add(addr)
+        dict.__setitem__(self, addr, value)
+
+
+def _untracked(name: str) -> Callable[..., Any]:
+    plain = getattr(dict, name)
+
+    def method(self: _RecordingMap, *args: Any, **kwargs: Any) -> Any:
+        self._live.tracked = False
+        return plain(self, *args, **kwargs)
+
+    method.__name__ = name
+    return method
+
+
+for _name in (
+    "__iter__", "__reversed__", "__len__", "__eq__", "__ne__", "__or__",
+    "__ror__", "__ior__", "__delitem__", "__repr__", "__reduce__",
+    "__reduce_ex__", "keys", "values", "items", "copy", "update", "pop",
+    "popitem", "setdefault", "clear",
+):
+    setattr(_RecordingMap, _name, _untracked(_name))
+
+
 def _recovery_fails(
     crashed_machine: Machine,
     workload: Workload,
@@ -260,8 +349,9 @@ def _recovery_fails(
     num_threads: int,
     engine: str,
     replay: bool = True,
-) -> bool:
-    """True when recovery on ``image`` yields wrong final output.
+    record: bool = True,
+) -> Tuple[bool, Optional[FrozenSet[int]]]:
+    """Run recovery on ``image``: ``(wrong output?, live-ins)``.
 
     By default recovery runs on a **replay machine** (cache-free
     architectural semantics, functional timing): the verdict depends
@@ -270,13 +360,92 @@ def _recovery_fails(
     while skipping the coherence walk that otherwise dominates campaign
     wall-clock.  ``replay=False`` restores the full-machine recovery
     run (equivalence tests and benchmarks use it).
+
+    The live-ins are the image addresses the rebind, the recovery run
+    and ``verify()`` read before writing them — all the run's verdict
+    can depend on.  They are recorded on replay machines only, and are
+    None when the run touched memory in a way not attributable to
+    single addresses, or when ``replay`` or ``record`` is False.
     """
     post = crashed_machine.after_crash_with_image(image, replay=replay)
+    live: Optional[_LiveIns] = None
+    if replay and record:
+        live = _LiveIns()
+        post.mem.arch = _RecordingMap(post.mem.arch, live)
+        post.mem.persistent = _RecordingMap(post.mem.persistent, live)
     rebound = workload.bind(
         post, num_threads=num_threads, engine=engine, create=False
     )
     post.run(rebound.recovery_threads_for(variant))
-    return not rebound.verify()
+    failed = not rebound.verify()
+    if live is None or not live.tracked:
+        return failed, None
+    return failed, frozenset(live.addrs)
+
+
+class VerdictMemo:
+    """Recovery verdicts at one crash point, reused by live-in match.
+
+    A replay recovery run is deterministic: it reads only the image's
+    values at its live-ins and values it computed itself.  So any image
+    agreeing with a checked one on that run's live-ins takes the same
+    run and gets the same verdict.  Every image of one space equals the
+    floor outside the space's varying addresses, so live-ins are keyed
+    by their projection onto those addresses alone.
+
+    One table per distinct (projected) live-in address tuple maps the
+    image's values there to the verdict.  Only tuples are held, never
+    images or machines.  A point whose images share nothing stops
+    recording after ``PROBE_RUNS`` real runs without a hit.
+    """
+
+    #: Real runs a point gets to show reuse.  When none of its first
+    #: ``PROBE_RUNS`` images hit, later runs skip live-in recording,
+    #: which slows a run by about a third and would buy nothing.
+    PROBE_RUNS = 16
+
+    def __init__(self, space: CrashStateSpace) -> None:
+        self.runs = 0
+        self.hits = 0
+        self._varying = frozenset(varying_addrs(space))
+        self._tables: Dict[Tuple[int, ...], Dict[Tuple[object, ...], bool]] = {}
+        # Keys compare values with ``==``, which cannot tell -0.0 from
+        # 0.0 while a checksum over bit patterns can: a space where a
+        # varying cell may hold -0.0 gets no reuse.
+        values = [v for ev in space.events for v in ev.values.values()]
+        values += [space.floor[a] for a in self._varying if a in space.floor]
+        self._exact = not any(
+            v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values
+        )
+
+    def lookup(self, image: Dict[int, float]) -> Optional[bool]:
+        """The verdict of a recorded run ``image`` matches, if any."""
+        for addrs, verdicts in self._tables.items():
+            verdict = verdicts.get(project(image, addrs))
+            if verdict is not None:
+                self.hits += 1
+                return verdict
+        return None
+
+    @property
+    def recording(self) -> bool:
+        """Whether the next real run should record its live-ins."""
+        return self._exact and (self.hits > 0 or self.runs < self.PROBE_RUNS)
+
+    def record(
+        self,
+        live_ins: Optional[Iterable[int]],
+        image: Dict[int, float],
+        failed: bool,
+    ) -> None:
+        """Count a real run on ``image``; remember its verdict when its
+        live-ins are known."""
+        self.runs += 1
+        if live_ins is None or not self._exact:
+            return
+        varying = self._varying
+        addrs = tuple(sorted(a for a in live_ins if a in varying))
+        self._tables.setdefault(addrs, {})[project(image, addrs)] = failed
 
 
 def minimize_failure(
@@ -327,7 +496,9 @@ def check_crash_point(
     ``timing`` overrides the config's timing model for the crash-point
     run (the run that defines the reachable-image space); ``replay``
     selects the fast cache-free machine for per-image recovery runs
-    (see :func:`_recovery_fails`).
+    (see :func:`_recovery_fails`).  On replay machines the point's
+    real recovery runs feed a :class:`VerdictMemo` that decides every
+    later image matching one of them; ``replay=False`` runs every image.
     """
     started = time.perf_counter()
     if timing is not None:
@@ -365,21 +536,28 @@ def check_crash_point(
         bound=enumeration_bound(space, plan),
     )
 
-    def fails(eids: FrozenSet[int]) -> bool:
-        return _recovery_fails(
-            machine,
-            workload,
-            variant,
-            space.image_for(eids),
-            num_threads,
-            engine,
-            replay=replay,
+    memo = VerdictMemo(space) if replay else None
+
+    def image_fails(image: Dict[int, float]) -> bool:
+        if memo is not None:
+            verdict = memo.lookup(image)
+            if verdict is not None:
+                return verdict
+        failed, live_ins = _recovery_fails(
+            machine, workload, variant, image, num_threads, engine,
+            replay=replay, record=memo is not None and memo.recording,
         )
+        if memo is not None:
+            memo.record(live_ins, image, failed)
+        return failed
+
+    def fails(eids: FrozenSet[int]) -> bool:
+        return image_fails(space.image_for(eids))
 
     known: List[FrozenSet[int]] = []
     for candidate in enumerate_images(space, plan):
         report.images_checked += 1
-        if not fails(candidate.eids):
+        if not image_fails(candidate.image):
             continue
         report.images_diverged += 1
         if any(k <= candidate.eids for k in known):
@@ -502,7 +680,7 @@ def replay_counterexample(
     if space is None:
         return False
     image = space.image_for(counterexample.minimized_eids)
-    return _recovery_fails(
+    failed, _ = _recovery_fails(
         machine,
         workload,
         counterexample.variant,
@@ -510,3 +688,4 @@ def replay_counterexample(
         num_threads,
         engine,
     )
+    return failed

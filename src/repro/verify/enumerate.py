@@ -14,13 +14,16 @@ with the policy the checker needs:
 
 Images are deduplicated by content: distinct ideals can collide on the
 same address->value map (e.g. a dirty line whose value never changed),
-and checking a duplicate image buys nothing.
+and checking a duplicate image buys nothing.  Every image of a space is
+the floor overlaid with some events' values, so two images are equal
+exactly when they agree on the space's *varying* addresses (those some
+event writes); the dedup key is that projection, not the whole image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.sim.persist import CrashStateSpace
@@ -34,8 +37,26 @@ class EnumeratedImage:
     eids: FrozenSet[int]
     image: Dict[int, float]
 
-    def key(self) -> Tuple[Tuple[int, float], ...]:
-        return tuple(sorted(self.image.items()))
+
+#: Stands in a projection for a varying address the image has no value
+#: at (an event adds the cell, the floor lacks it).  Equal only to
+#: itself, so it never collides with a stored value.
+ABSENT = object()
+
+
+def varying_addrs(space: CrashStateSpace) -> Tuple[int, ...]:
+    """Sorted addresses at which the images of ``space`` can differ:
+    the union of its events' written addresses.  Everywhere else every
+    image holds the floor's value (or no value)."""
+    return tuple(sorted({addr for ev in space.events for addr in ev.values}))
+
+
+def project(
+    image: Dict[int, float], addrs: Sequence[int]
+) -> Tuple[object, ...]:
+    """``image``'s values at ``addrs``, :data:`ABSENT` where it has none."""
+    get = image.get
+    return tuple([get(addr, ABSENT) for addr in addrs])
 
 
 @dataclass(frozen=True)
@@ -106,13 +127,19 @@ def enumerate_images(
     space: CrashStateSpace, plan: EnumerationPlan
 ) -> List[EnumeratedImage]:
     """All candidate images for ``space`` under ``plan``, deduplicated
-    by image content (first event set producing each image wins)."""
+    by image content (first event set producing each image wins).
+
+    Content is compared on the varying addresses only: outside them
+    every image equals the floor, so the projection makes exactly the
+    decisions a whole-image comparison would.
+    """
+    varying = varying_addrs(space)
     out: List[EnumeratedImage] = []
-    seen: Set[Tuple[Tuple[int, float], ...]] = set()
+    seen: Set[Tuple[object, ...]] = set()
     for ideal in _ideal_stream(space, plan):
-        candidate = EnumeratedImage(eids=ideal, image=space.image_for(ideal))
-        key = candidate.key()
+        image = space.image_for(ideal)
+        key = project(image, varying)
         if key not in seen:
             seen.add(key)
-            out.append(candidate)
+            out.append(EnumeratedImage(eids=ideal, image=image))
     return out

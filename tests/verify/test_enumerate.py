@@ -2,9 +2,19 @@
 
 import pytest
 
+from repro.analysis.crashlab import crash_plans_for
 from repro.errors import ConfigError
+from repro.sim.config import tiny_machine
+from repro.sim.crash import CrashPlan, run_to_crash_space
+from repro.sim.machine import Machine
 from repro.sim.persist import KIND_DIRTY, KIND_FLUSH, CrashStateSpace, PersistEvent
-from repro.verify.enumerate import EnumerationPlan, enumerate_images
+from repro.verify.enumerate import (
+    EnumeratedImage,
+    EnumerationPlan,
+    _ideal_stream,
+    enumerate_images,
+)
+from repro.workloads import get_workload
 
 
 def flush(eid, line, values):
@@ -110,3 +120,77 @@ class TestSampled:
         images = enumerate_images(space, plan)
         # 8 samples + up to 3 distinguished ideals, minus dedup overlap.
         assert 2 <= len(images) <= 11
+
+
+def whole_image_enumeration(space, plan):
+    """The enumerator as it was keyed before: dedup on every cell."""
+    out, seen = [], set()
+    for ideal in _ideal_stream(space, plan):
+        image = space.image_for(ideal)
+        key = tuple(sorted(image.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append(EnumeratedImage(eids=ideal, image=image))
+    return out
+
+
+#: (workload, params, variant): one space per crash point of each.
+DEDUP_SPACES = (
+    ("tmm", {"n": 8, "bsize": 4, "kk_tiles": 1}, "lp"),
+    ("tmm", {"n": 8, "bsize": 4, "kk_tiles": 1}, "ep_nofence"),
+    ("gauss", {"n": 8, "row_block": 4}, "lp"),
+    ("log", {"records": 6, "width": 2, "wb_batch": 2}, "write_behind"),
+    ("hashmap", {"capacity": 8, "ops": 6, "keys": 3, "wb_batch": 2}, "wal"),
+)
+
+
+class TestProjectedDedupKey:
+    """Keying dedup on the varying addresses keeps every decision."""
+
+    @pytest.mark.parametrize(
+        "name,params,variant", DEDUP_SPACES,
+        ids=[f"{w}-{v}" for w, _, v in DEDUP_SPACES],
+    )
+    def test_same_images_as_whole_image_key(self, name, params, variant):
+        wl = get_workload(name)(**params)
+        config = tiny_machine()
+        # A low frontier also puts the sampled mode under test.
+        plans = (EnumerationPlan(), EnumerationPlan(max_exhaustive_events=4))
+        spaces = 0
+        for crash in crash_plans_for(wl, config, variant):
+            machine = Machine(config)
+            bound = wl.bind(machine, num_threads=2, engine="modular")
+            _, space = run_to_crash_space(
+                machine, bound.threads(variant), crash
+            )
+            if space is None:
+                continue
+            spaces += 1
+            for plan in plans:
+                assert enumerate_images(space, plan) == (
+                    whole_image_enumeration(space, plan)
+                )
+        assert spaces
+
+    def test_bench_preset_tmm_spaces(self):
+        wl = get_workload("tmm")(n=12, bsize=4, kk_tiles=1)
+        plan = EnumerationPlan(max_exhaustive_events=12, samples=32)
+        for crash in (CrashPlan(at_op=800), CrashPlan(at_op=1100)):
+            machine = Machine(tiny_machine())
+            bound = wl.bind(machine, num_threads=2, engine="modular")
+            _, space = run_to_crash_space(machine, bound.threads("lp"), crash)
+            assert enumerate_images(space, plan) == (
+                whole_image_enumeration(space, plan)
+            )
+
+    def test_cell_absent_from_floor_differs_from_any_value(self):
+        # Event 0 adds a cell the floor lacks; event 1 rewrites a floor
+        # cell with its floor value.  Images: {}, {16: 0.0}; event 1
+        # alone or with event 0 collides with those.
+        events = [flush(0, 64, {16: 0.0}), flush(1, 128, {136: 3.0})]
+        space = space_of(events, [], floor={136: 3.0})
+        images = enumerate_images(space, EnumerationPlan())
+        assert [img.image for img in images] == [
+            {136: 3.0}, {136: 3.0, 16: 0.0},
+        ]
+        assert images == whole_image_enumeration(space, EnumerationPlan())
