@@ -18,9 +18,12 @@ Two error models:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.core.checksum import ChecksumEngine
@@ -58,36 +61,69 @@ class AccuracyResult:
         return self.miss_probability
 
 
-def _inject_stale(values, rng: random.Random) -> List[float]:
-    """Revert a random non-empty subset to stale (earlier) values."""
-    corrupted = list(values)
-    k = rng.randint(1, max(1, len(values) // 4))
-    for idx in rng.sample(range(len(values)), k):
-        # the "previous" value a crash would expose: an older accumulation
-        corrupted[idx] = float(rng.randint(0, 1 << 30))
-    return corrupted
+def _inject_stale(row: np.ndarray, rng: random.Random) -> None:
+    """Revert a random non-empty subset of a region to stale values.
 
-def _inject_paired(values, rng: random.Random) -> List[float]:
+    The region is a float64 row, corrupted in place.
+    """
+    k = rng.randint(1, max(1, len(row) // 4))
+    idx = rng.sample(range(len(row)), k)
+    # the "previous" value a crash would expose: an older accumulation
+    row[idx] = [float(rng.randint(0, 1 << 30)) for _ in idx]
+
+
+def _inject_paired(row: np.ndarray, rng: random.Random) -> None:
     """XOR the same bit mask into two distinct elements' patterns.
 
     The two flips cancel in an XOR parity, so parity can never detect
     this class of error; sum-based codes almost always do.
     """
-    import struct
-
-    if len(values) < 2:
-        raise ConfigError("paired injection needs at least 2 elements")
-    corrupted = list(values)
-    i, j = rng.sample(range(len(values)), 2)
+    i, j = rng.sample(range(len(row)), 2)
     # flip low-mantissa bits only, so values stay finite and comparable
-    mask = rng.randint(1, (1 << 30) - 1)
-    for idx in (i, j):
-        bits = struct.unpack("<Q", struct.pack("<d", corrupted[idx]))[0]
-        corrupted[idx] = struct.unpack("<d", struct.pack("<Q", bits ^ mask))[0]
-    return corrupted
+    mask = np.uint64(rng.randint(1, (1 << 30) - 1))
+    bits = row.view(np.uint64)
+    bits[i] ^= mask
+    bits[j] ^= mask
 
 
-_MODELS = {"stale": _inject_stale, "paired": _inject_paired}
+#: error model -> (in-place injection, smallest region it accepts)
+_MODELS = {"stale": (_inject_stale, 1), "paired": (_inject_paired, 2)}
+
+#: Trials whose regions are checksummed together: bounds the two
+#: trials x region matrices a campaign holds at once.
+CHUNK_ROWS = 64
+
+#: Region values are ``rng.randint(0, _VALUE_MAX)`` draws.
+_VALUE_MAX = 1 << 40
+
+
+def _draw_region(rng: random.Random, n: int) -> np.ndarray:
+    """``[float(rng.randint(0, 1 << 40)) for _ in range(n)]``, ``n >= 1``.
+
+    ``randint(0, 1 << 40)`` is ``getrandbits(41)`` redrawn while above
+    ``1 << 40``, and ``getrandbits(41)`` is ``w0 | (w1 >> 23) << 32``
+    over two consecutive Mersenne Twister words.  The words come from
+    one ``getrandbits`` call, the draws are decoded from them with
+    numpy, and the generator is then rewound and re-advanced by exactly
+    the words the scalar loop would have used, so its state afterwards
+    is identical.
+    """
+    state = rng.getstate()
+    # about two candidates per accepted draw, plus nine standard
+    # deviations (the count needed has variance about 2n)
+    candidates = 2 * n + 9 * math.isqrt(2 * n) + 8
+    while True:
+        raw = rng.getrandbits(64 * candidates).to_bytes(8 * candidates, "little")
+        words = np.frombuffer(raw, dtype="<u4").astype(np.uint64)
+        draws = words[0::2] | (words[1::2] >> np.uint64(23)) << np.uint64(32)
+        accepted = np.flatnonzero(draws <= _VALUE_MAX)
+        if len(accepted) >= n:
+            break
+        rng.setstate(state)
+        candidates *= 2
+    rng.setstate(state)
+    rng.getrandbits(64 * (int(accepted[n - 1]) + 1))
+    return draws[accepted[:n]].astype(np.float64)
 
 
 def run_error_injection(
@@ -102,26 +138,42 @@ def run_error_injection(
 
     Each trial builds a fresh region of random values, corrupts a copy,
     and counts a miss when the corrupted data checksums to the same
-    value as the original (while actually differing).
+    value as the original (while actually differing).  Trials are
+    drawn one at a time from a single ``random.Random(seed)`` stream
+    and checksummed ``CHUNK_ROWS`` at a time with the engine's batched
+    kernel.
     """
     if error_model not in _MODELS:
         raise ConfigError(
             f"unknown error model {error_model!r}; choose from {sorted(_MODELS)}"
         )
-    inject = _MODELS[error_model]
+    inject, min_region = _MODELS[error_model]
+    if region_size < min_region:
+        raise ConfigError(
+            f"{error_model} injection needs regions of at least "
+            f"{min_region} element(s), got region_size={region_size}"
+        )
+    if trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials}")
     rng = random.Random(seed)
     result = AccuracyResult(
         engine=engine.name, error_model=error_model, trials=trials, missed=0
     )
-    for _ in range(trials):
-        values = [float(rng.randint(0, 1 << 40)) for _ in range(region_size)]
-        reference = engine.of_values(values)
-        corrupted = inject(values, rng)
-        if corrupted == values:
-            result.degenerate += 1
-            continue
-        if engine.of_values(corrupted) == reference:
+    for start in range(0, trials, CHUNK_ROWS):
+        rows = min(CHUNK_ROWS, trials - start)
+        values = np.empty((rows, region_size))
+        corrupted = np.empty_like(values)
+        for row in range(rows):
+            values[row] = corrupted[row] = _draw_region(rng, region_size)
+            inject(corrupted[row], rng)
+        # float ==, as in a list comparison of the values
+        degenerate = (values == corrupted).all(axis=1)
+        result.degenerate += int(degenerate.sum())
+        missed = (engine.of_rows(values) == engine.of_rows(corrupted)) & ~degenerate
+        for row in np.flatnonzero(missed):
             result.missed += 1
             if len(result.examples) < 4:
-                result.examples.append((tuple(values), tuple(corrupted)))
+                result.examples.append(
+                    (tuple(values[row].tolist()), tuple(corrupted[row].tolist()))
+                )
     return result

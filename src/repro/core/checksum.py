@@ -17,18 +17,51 @@ persisted data matches exactly if and only if the data persisted.
 ``flops_per_update`` is the compute cost a workload charges per
 ``UpdateCheckSum`` call; the relative costs reproduce the Figure 15b
 ordering (parity < modular < parallel < adler).
+
+Besides the streaming ``reset``/``update``/``finalize`` calls the
+simulator charges per store, every engine has a batched kernel,
+``of_rows``, that checksums each row of a float64 matrix at once over
+its ``uint64`` bit patterns; ``of_rows(m)[i] == of_values(m[i])`` bit
+for bit.  The error-injection study (``repro.core.accuracy``) uses it.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from abc import ABC, abstractmethod
 from typing import Dict, Type
+
+import numpy as np
 
 from repro.errors import ConfigError
 
 _MASK32 = 0xFFFFFFFF
 _ADLER_MOD = 65521
+_U32 = np.uint64(32)
+_UMASK32 = np.uint64(_MASK32)
+
+
+def _row_bits(matrix) -> np.ndarray:
+    """The ``uint64`` IEEE-754 patterns of a 2-D float matrix's values."""
+    return np.ascontiguousarray(matrix, dtype=np.float64).view(np.uint64)
+
+
+def _fold_xor(bits: np.ndarray) -> np.ndarray:
+    """Per row: XOR of all patterns, folded to 32 bits (the parity code)."""
+    s = np.bitwise_xor.reduce(bits, axis=1)
+    return (s ^ (s >> _U32)) & _UMASK32
+
+
+def _sum_words(bits: np.ndarray) -> np.ndarray:
+    """Per row: 32-bit sum of every pattern's two halves (modular code).
+
+    The ``uint64`` sums wrap modulo 2**64, which keeps them exact
+    modulo 2**32.
+    """
+    low = (bits & _UMASK32).sum(axis=1, dtype=np.uint64)
+    high = (bits >> _U32).sum(axis=1, dtype=np.uint64)
+    return (low + high) & _UMASK32
 
 
 def value_bits(value: float) -> int:
@@ -65,6 +98,10 @@ class ChecksumEngine(ABC):
             state = self.update(state, v)
         return self.finalize(state)
 
+    @abstractmethod
+    def of_rows(self, matrix) -> np.ndarray:
+        """``uint64[rows]``: ``of_values`` of each row of a 2-D matrix."""
+
 
 class ParityChecksum(ChecksumEngine):
     """XOR of all value bit patterns, folded to 32 bits."""
@@ -80,6 +117,9 @@ class ParityChecksum(ChecksumEngine):
 
     def finalize(self, state: int) -> int:
         return (state ^ (state >> 32)) & _MASK32
+
+    def of_rows(self, matrix) -> np.ndarray:
+        return _fold_xor(_row_bits(matrix))
 
 
 class ModularChecksum(ChecksumEngine):
@@ -104,6 +144,9 @@ class ModularChecksum(ChecksumEngine):
     def finalize(self, state: int) -> int:
         return state & _MASK32
 
+    def of_rows(self, matrix) -> np.ndarray:
+        return _sum_words(_row_bits(matrix))
+
 
 class Adler32Checksum(ChecksumEngine):
     """Adler-32 over each value's 8 little-endian bytes (zlib-style)."""
@@ -125,6 +168,11 @@ class Adler32Checksum(ChecksumEngine):
 
     def finalize(self, state: int) -> int:
         return state & _MASK32
+
+    def of_rows(self, matrix) -> np.ndarray:
+        # zlib's own Adler-32 over each row's little-endian bytes
+        rows = np.ascontiguousarray(matrix, dtype="<f8")
+        return np.array([zlib.adler32(row) for row in rows], dtype=np.uint64)
 
 
 class ParallelChecksum(ChecksumEngine):
@@ -161,6 +209,12 @@ class ParallelChecksum(ChecksumEngine):
 
     def finalize(self, state: int) -> int:
         return state
+
+    def of_rows(self, matrix) -> np.ndarray:
+        # XOR of the per-value 32-bit folds is the fold of the XOR, so
+        # the parity half is exactly ParityChecksum's code.
+        bits = _row_bits(matrix)
+        return (_sum_words(bits) << _U32) | _fold_xor(bits)
 
 
 _ENGINES: Dict[str, Type[ChecksumEngine]] = {

@@ -26,3 +26,14 @@ class TestReproduce:
         assert rc == 0
         assert out.exists()
         assert "reproduction report" in out.read_text()
+
+
+def test_accuracy_section_matches_scalar_reference(monkeypatch):
+    """The quick-scale III-D table is the one the scalar campaign gives."""
+    from repro.analysis import paperfigures
+    from tests.core.test_accuracy import reference_injection
+
+    scale = paperfigures._SCALES["quick"]
+    batched = paperfigures._accuracy_section(scale)
+    monkeypatch.setattr(paperfigures, "run_error_injection", reference_injection)
+    assert batched == paperfigures._accuracy_section(scale)

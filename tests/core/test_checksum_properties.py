@@ -3,6 +3,8 @@
 import struct
 import zlib
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.checksum import (
@@ -10,6 +12,7 @@ from repro.core.checksum import (
     ModularChecksum,
     ParallelChecksum,
     ParityChecksum,
+    value_bits,
 )
 
 reasonable_floats = st.floats(
@@ -96,3 +99,72 @@ def test_finalize_ranges(values):
         assert 0 <= ck < (1 << 32)
     ck = ParallelChecksum().of_values(values)
     assert 0 <= ck < (1 << 64)
+
+
+# -- batched kernels: of_rows(m)[i] == of_values(m[i]) bit for bit
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+     1.0, -1.0, float(1 << 40), float(1 << 30)]
+)
+_finite = st.one_of(reasonable_floats, _edge_floats)
+# a finite value with low mantissa bits flipped, as the paired-error
+# model does; the exponent is untouched, so it stays finite
+_low_mantissa = st.builds(
+    lambda v, mask: _from_bits(value_bits(v) ^ mask),
+    _finite, st.integers(min_value=1, max_value=(1 << 30) - 1),
+)
+kernel_floats = st.one_of(
+    st.floats(allow_nan=False, width=64), _edge_floats, _low_mantissa
+)
+
+
+@st.composite
+def matrices(draw):
+    rows = draw(st.integers(min_value=0, max_value=6))
+    width = draw(st.integers(min_value=0, max_value=24))
+    cells = draw(st.lists(kernel_floats, min_size=rows * width,
+                          max_size=rows * width))
+    return np.array(cells, dtype=np.float64).reshape(rows, width)
+
+
+def _assert_rows_match(matrix):
+    for engine_cls in ENGINES:
+        e = engine_cls()
+        got = e.of_rows(matrix)
+        assert got.dtype == np.uint64 and got.shape == (matrix.shape[0],)
+        assert [int(x) for x in got] == [
+            e.of_values(row.tolist()) for row in matrix
+        ], engine_cls.name
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_of_rows_equals_of_values(matrix):
+    _assert_rows_match(matrix)
+
+
+@pytest.mark.parametrize("shape", [(1, 17), (9, 1), (4, 0), (0, 5), (0, 0)])
+def test_of_rows_edge_shapes(shape):
+    rng = np.random.default_rng(sum(shape))
+    _assert_rows_match(rng.normal(scale=1e8, size=shape))
+
+
+def test_of_rows_of_zero_width_rows_is_the_empty_checksum():
+    empty = np.empty((3, 0))
+    for engine_cls, expected in zip(ENGINES, (0, 0, 1, 0)):
+        e = engine_cls()
+        assert e.of_values([]) == expected
+        assert e.of_rows(empty).tolist() == [expected] * 3
+
+
+def test_of_rows_parity_folds_high_word():
+    # patterns that differ only in their high 32 bits: an unfolded XOR
+    # would keep them apart, the 32-bit fold must agree with the scalar
+    matrix = np.array([[_from_bits(1 << 32), _from_bits(1)]])
+    _assert_rows_match(matrix)
+    assert ParityChecksum().of_rows(matrix).tolist() == [0]
